@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check ci-quick ci-full build test vet race fuzz-smoke fuzz-radio chaos adversary modelcheck modelcheck-smoke modelcheck-seed resume-smoke bench bench-sweep bench-smoke bench-chaos bench-adversary bench-modelcheck bench-gate bench-all profile examples experiments clean
+.PHONY: all check ci-quick ci-full build test vet race fuzz-smoke fuzz-radio chaos adversary modelcheck modelcheck-smoke modelcheck-seed golden resume-smoke bench bench-sweep bench-smoke bench-chaos bench-adversary bench-modelcheck bench-gate bench-all profile examples experiments clean
 
 all: check
 
@@ -91,6 +91,14 @@ modelcheck-smoke:
 modelcheck-seed:
 	$(GO) run ./cmd/ldrcheck -protocol aodv -resets 1 -drops 1 -expect-violation \
 		-emit internal/modelcheck/testdata/aodv-line3-loop.json -q
+
+# Regenerate the committed golden-digest table
+# (internal/scenario/testdata/golden.json): the sha256 of each matrix
+# cell's round-tripped collector JSON. A change that moves a digest must
+# say why; an engine refactor must leave the table untouched.
+golden:
+	mkdir -p internal/scenario/testdata
+	$(GO) test ./internal/scenario/ -run '^TestGoldenDigests$$' -update-golden -count=1
 
 # Exploration throughput (states/sec, trans/sec) and exact state counts,
 # recorded as BENCH_modelcheck.json and gated against the committed
