@@ -19,7 +19,6 @@
 package sim
 
 import (
-	"container/heap"
 	"sync/atomic"
 	"time"
 
@@ -77,7 +76,7 @@ func (t Timer) Cancel() {
 	}
 	ev := t.ev
 	s := ev.owner
-	heap.Remove(&s.queue, ev.index)
+	s.queue.remove(ev.index)
 	s.recycle(ev)
 }
 
@@ -150,7 +149,7 @@ func (s *Simulator) At(t time.Duration, fn func()) Timer {
 	}
 	ev := s.get(t)
 	ev.fn = fn
-	heap.Push(&s.queue, ev)
+	s.queue.push(ev)
 	return Timer{ev: ev, gen: ev.gen}
 }
 
@@ -193,16 +192,16 @@ func (s *Simulator) ScheduleTransient(delay time.Duration, fn func(any, uint64),
 	ev.afn = fn
 	ev.arg = arg
 	ev.u = u
-	heap.Push(&s.queue, ev)
+	s.queue.push(ev)
 }
 
 // Step executes the next event, advancing the clock. It returns false if
 // the queue is empty or the simulator has been halted.
 func (s *Simulator) Step() bool {
-	if s.halted || s.queue.Len() == 0 {
+	if s.halted || len(s.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&s.queue).(*Event)
+	ev := s.queue.pop()
 	s.now = ev.at
 	s.fired++
 	// Copy the callback out and recycle before invoking: a fired event
@@ -225,7 +224,7 @@ func (s *Simulator) Step() bool {
 // last event) — or wherever the last event left it if the run was
 // interrupted, so partial metrics report the virtual time they cover.
 func (s *Simulator) Run(until time.Duration) {
-	for !s.halted && s.queue.Len() > 0 {
+	for !s.halted && len(s.queue) > 0 {
 		if s.interrupted.Load() {
 			return
 		}
@@ -269,40 +268,104 @@ func (s *Simulator) Interrupt() { s.interrupted.Store(true) }
 func (s *Simulator) Interrupted() bool { return s.interrupted.Load() }
 
 // Pending returns the number of events still queued.
-func (s *Simulator) Pending() int { return s.queue.Len() }
+func (s *Simulator) Pending() int { return len(s.queue) }
 
 // eventQueue is a binary min-heap ordered by (time, insertion sequence).
+// It is written out for *Event instead of going through container/heap,
+// whose interface-dispatched Less and Swap dominated the simulator's
+// CPU. The sifts move a hole rather than swapping, so each displaced
+// event and its index are written once per level. Keys are unique (seq
+// never repeats), so the pop order is fully determined by (at, seq)
+// whatever the heap's internal layout.
 type eventQueue []*Event
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before is the heap order: earlier time first, then scheduling order.
+func (a *Event) before(b *Event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*q)
+func (q *eventQueue) push(ev *Event) {
 	*q = append(*q, ev)
+	q.up(len(*q)-1, ev)
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+// pop removes and returns the earliest event. The queue must be
+// non-empty.
+func (q *eventQueue) pop() *Event {
+	h := *q
+	top := h[0]
+	q.cut(0)
+	top.index = -1
+	return top
+}
+
+// remove deletes the event at heap position i (Timer.Cancel).
+func (q *eventQueue) remove(i int) {
+	ev := (*q)[i]
+	q.cut(i)
 	ev.index = -1
-	*q = old[:n-1]
-	return ev
+}
+
+// cut fills hole i with the last event, shrinks the queue by one, and
+// restores the heap order around the moved event.
+func (q *eventQueue) cut(i int) {
+	h := *q
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	h = h[:n]
+	*q = h
+	if i == n {
+		return
+	}
+	if i > 0 && last.before(h[(i-1)/2]) {
+		h.up(i, last)
+	} else {
+		h.down(i, last)
+	}
+}
+
+// up sifts ev from hole i toward the root and stores it where it lands.
+func (q eventQueue) up(i int, ev *Event) {
+	for i > 0 {
+		p := (i - 1) / 2
+		pe := q[p]
+		if !ev.before(pe) {
+			break
+		}
+		q[i] = pe
+		pe.index = i
+		i = p
+	}
+	q[i] = ev
+	ev.index = i
+}
+
+// down sifts ev from hole i toward the leaves and stores it where it
+// lands.
+func (q eventQueue) down(i int, ev *Event) {
+	n := len(q)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		ce := q[c]
+		if !ce.before(ev) {
+			break
+		}
+		q[i] = ce
+		ce.index = i
+		i = c
+	}
+	q[i] = ev
+	ev.index = i
 }
 
 func (q eventQueue) peek() *Event { return q[0] }
