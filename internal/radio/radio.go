@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"github.com/manetlab/ldr/internal/mobility"
+	"github.com/manetlab/ldr/internal/runpool"
 	"github.com/manetlab/ldr/internal/sim"
 )
 
@@ -148,7 +149,7 @@ type Medium struct {
 
 	cand []int32 // scratch receiver-candidate buffer, reused per call
 
-	rcFree []*reception // reception free list
+	txPool runpool.Pool[transmission] // recycled transmissions
 
 	// Pre-bound event callbacks, so the hot path schedules no closures.
 	startFn func(any, uint64)
@@ -187,6 +188,19 @@ type reception struct {
 	decodable bool
 	corrupted bool
 	payload   any
+}
+
+// transmission is one frame on the air. Every reception of a frame
+// starts and ends at the same two instants, so the medium schedules one
+// start and one end event per transmission, and each walks the
+// receptions in candidate order — the order in which per-reception
+// events used to fire, since they held consecutive sequence numbers and
+// no callback runs inside Transmit to slip another event between them.
+// Receptions live in the slice by value; it is appended to only inside
+// Transmit, so the addresses that nodes' active lists hold stay valid
+// until the end event recycles the transmission.
+type transmission struct {
+	rcs []reception
 }
 
 // New builds a medium over the given mobility model. Positions are sampled
@@ -247,8 +261,8 @@ func New(s *sim.Simulator, model mobility.Model, cfg Config) *Medium {
 	for i := range m.posTime {
 		m.posTime[i] = -1 // sentinel: no position cached yet
 	}
-	m.startFn = m.signalStart
-	m.endFn = m.signalEnd
+	m.startFn = m.txStart
+	m.endFn = m.txEnd
 	m.idleFn = m.idleAt
 	return m
 }
@@ -325,24 +339,6 @@ func (m *Medium) AirTime(bits int) time.Duration {
 	return time.Duration(float64(bits) / m.cfg.BitRate * float64(time.Second))
 }
 
-// newReception draws a reception from the free list.
-func (m *Medium) newReception(from, dst int, decodable bool, payload any) *reception {
-	var rc *reception
-	if n := len(m.rcFree); n > 0 {
-		rc = m.rcFree[n-1]
-		m.rcFree[n-1] = nil
-		m.rcFree = m.rcFree[:n-1]
-	} else {
-		rc = &reception{}
-	}
-	rc.from = int32(from)
-	rc.dst = int32(dst)
-	rc.decodable = decodable
-	rc.corrupted = false
-	rc.payload = payload
-	return rc
-}
-
 // Transmit puts a frame on the air from node src and returns its airtime.
 // The MAC is responsible for carrier sensing before calling Transmit; the
 // radio faithfully transmits (and collides) regardless.
@@ -364,6 +360,7 @@ func (m *Medium) Transmit(src, bits int, payload any) time.Duration {
 
 	m.maybeRefresh()
 	srcPos := m.position(src)
+	tx := m.txPool.Get()
 	m.cand = m.grid.appendCandidates(srcPos, m.cand[:0])
 	for _, c := range m.cand {
 		i := int(c)
@@ -378,16 +375,50 @@ func (m *Medium) Transmit(src, bits int, payload any) time.Duration {
 		if d > m.csRange[src] {
 			continue
 		}
-		rc := m.newReception(src, i, d <= m.txRange[src], payload)
+		tx.rcs = append(tx.rcs, reception{
+			from: int32(src), dst: int32(i), decodable: d <= m.txRange[src], payload: payload,
+		})
 		ref(payload) // the reception reads the payload until it ends
-		m.sim.ScheduleTransient(m.cfg.PropDelay, m.startFn, rc, 0)
-		m.sim.ScheduleTransient(m.cfg.PropDelay+air, m.endFn, rc, 0)
 	}
+	if len(tx.rcs) == 0 {
+		m.txPool.Put(tx)
+		return air
+	}
+	m.sim.ScheduleTransient(m.cfg.PropDelay, m.startFn, tx, 0)
+	m.sim.ScheduleTransient(m.cfg.PropDelay+air, m.endFn, tx, 0)
 	return air
 }
 
-func (m *Medium) signalStart(arg any, _ uint64) {
-	rc := arg.(*reception)
+// txStart is the pre-bound start event of a transmission: the frame's
+// leading edge reaches every receiver at once.
+func (m *Medium) txStart(arg any, _ uint64) {
+	tx := arg.(*transmission)
+	for k := range tx.rcs {
+		m.signalStart(&tx.rcs[k])
+	}
+}
+
+// txEnd is the pre-bound end event of a transmission. Receiver
+// callbacks run inside the walk, exactly where their per-reception end
+// events used to fire; anything they schedule at this instant fires
+// after the walk, as it did after the frame's remaining end events.
+func (m *Medium) txEnd(arg any, _ uint64) {
+	tx := arg.(*transmission)
+	for k := range tx.rcs {
+		rc := &tx.rcs[k]
+		m.signalEnd(rc)
+		// The reception is over and off every active list: drop its
+		// payload reference before the next receiver's end, as its own
+		// end event used to.
+		unref(rc.payload)
+		*rc = reception{}
+	}
+	tx.rcs = tx.rcs[:0]
+	m.txPool.Put(tx)
+}
+
+// signalStart applies one reception's leading edge at its receiver.
+func (m *Medium) signalStart(rc *reception) {
 	st := &m.nodes[rc.dst]
 	st.signals++
 	if rc.decodable {
@@ -409,8 +440,9 @@ func (m *Medium) signalStart(arg any, _ uint64) {
 	}
 }
 
-func (m *Medium) signalEnd(arg any, _ uint64) {
-	rc := arg.(*reception)
+// signalEnd applies one reception's trailing edge at its receiver,
+// delivering the frame if it survived.
+func (m *Medium) signalEnd(rc *reception) {
 	st := &m.nodes[rc.dst]
 	st.signals--
 	if rc.decodable {
@@ -429,11 +461,6 @@ func (m *Medium) signalEnd(arg any, _ uint64) {
 		}
 	}
 	m.checkIdle(int(rc.dst))
-	// The reception's start and end have both fired and it is off every
-	// active list: drop its payload reference and recycle it.
-	unref(rc.payload)
-	rc.payload = nil
-	m.rcFree = append(m.rcFree, rc)
 }
 
 func (m *Medium) checkIdle(id int) {

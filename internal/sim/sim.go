@@ -105,7 +105,10 @@ func New() *Simulator {
 func (s *Simulator) Now() time.Duration { return s.now }
 
 // EventsFired returns the number of events executed so far, a cheap
-// progress/cost measure for benchmarks.
+// progress/cost measure for benchmarks. Its meaning moves with event
+// granularity — the radio spends two events per frame however many
+// nodes hear it — so compare runs by cells or simulated seconds per
+// wall second, not by events per second.
 func (s *Simulator) EventsFired() uint64 { return s.fired }
 
 // get pops a pooled event (or allocates one) and stamps it for queueing.
@@ -178,8 +181,9 @@ func (s *Simulator) Every(start, interval, until time.Duration, fn func()) {
 // Schedule, but returns no handle: the event cannot be cancelled or
 // observed. Because no Timer escapes, there is nothing for the caller to
 // misuse and the event struct is recycled the moment it fires, so
-// high-frequency callers (the radio schedules three of these per frame
-// per receiver) pay no per-call allocation once the pool is warm.
+// high-frequency callers (the radio schedules three of these per frame:
+// the sender's idle check and the frame's start and end) pay no
+// per-call allocation once the pool is warm.
 //
 // The payload is split in two on purpose: arg carries a pointer without
 // allocating, and u carries a small scalar (an epoch, a node index)
@@ -223,6 +227,12 @@ func (s *Simulator) Step() bool {
 // exactly at `until` still fire. The clock is left at min(until, time of
 // last event) — or wherever the last event left it if the run was
 // interrupted, so partial metrics report the virtual time they cover.
+//
+// Halt and Interrupt take effect between events, and one event may do
+// the work of many: the radio's end-of-frame event delivers to every
+// receiver of the frame, so a Halt issued from one receiver's callback
+// stops the run only after the rest of that frame's receivers have been
+// served.
 func (s *Simulator) Run(until time.Duration) {
 	for !s.halted && len(s.queue) > 0 {
 		if s.interrupted.Load() {
