@@ -12,7 +12,7 @@ import (
 // unmarshal cycle exactly, so a sweep resumed from its journal renders
 // byte-identical tables: every counter is an integer, and float64 values
 // (SeqnoSum) round-trip losslessly through encoding/json's shortest-form
-// formatting. The one deliberate omission is the per-packet fates map:
+// formatting. The one deliberate omission is the per-packet fates ledger:
 // it exists to dedup terminal events during the run and is dead weight
 // once the run has ended, so journaled collectors report FateNone for
 // every packet.
@@ -84,7 +84,7 @@ type collectorJSON struct {
 
 // MarshalJSON serializes every counter the paper's metrics derive from,
 // including the unexported control ledgers and drop-reason array. The
-// per-packet fates map is intentionally not serialized (see the package
+// per-packet fates ledger is intentionally not serialized (see the package
 // comment above).
 func (c *Collector) MarshalJSON() ([]byte, error) {
 	return json.Marshal(collectorJSON{

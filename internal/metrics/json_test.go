@@ -83,10 +83,10 @@ func TestCollectorJSONRoundTrip(t *testing.T) {
 		t.Fatal("dedup counters changed across round-trip")
 	}
 
-	// The fates map is deliberately not serialized: a journaled collector
+	// The fates ledger is deliberately not serialized: a journaled collector
 	// reports FateNone, and re-encoding is byte-stable.
 	if got.FateOf(0, 0) != FateNone {
-		t.Fatal("fates map unexpectedly survived serialization")
+		t.Fatal("fates ledger unexpectedly survived serialization")
 	}
 	blob2, err := json.Marshal(got)
 	if err != nil {

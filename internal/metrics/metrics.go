@@ -7,7 +7,10 @@
 // load, RREP Init, RREP Recv, mean latency) are the paper's six metrics.
 package metrics
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // ControlKind classifies control packets for load accounting.
 type ControlKind int
@@ -106,12 +109,6 @@ const (
 	FateDropped
 )
 
-// packetKey identifies a data packet network-wide.
-type packetKey struct {
-	src int32
-	id  uint64
-}
-
 // Collector accumulates the counters for one simulation run.
 type Collector struct {
 	// Data plane.
@@ -175,25 +172,36 @@ type Collector struct {
 	RERRSuppressed        uint64 // RERRs discarded by receive damping
 
 	dropByReason [numReasons]uint64
-	fates        map[packetKey]PacketFate
-	inFlight     int64 // initiated packets with no terminal event yet
+	// fates[src][id] is the fate of data packet (src, id). Packet IDs are
+	// dense per source — routing.Node.OriginateData counts them up from 1
+	// and nothing resets them — so a row per source, grown on write,
+	// holds the ledger in a byte per packet instead of a map entry.
+	fates    [][]PacketFate
+	inFlight int64 // initiated packets with no terminal event yet
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{} }
 
 func (c *Collector) fate(src int, id uint64) PacketFate {
-	if c.fates == nil {
+	if src < 0 || src >= len(c.fates) || id >= uint64(len(c.fates[src])) {
 		return FateNone
 	}
-	return c.fates[packetKey{src: int32(src), id: id}]
+	return c.fates[src][id]
 }
 
 func (c *Collector) setFate(src int, id uint64, f PacketFate) {
-	if c.fates == nil {
-		c.fates = make(map[packetKey]PacketFate)
+	if src >= len(c.fates) {
+		c.fates = append(c.fates, make([][]PacketFate, src+1-len(c.fates))...)
 	}
-	c.fates[packetKey{src: int32(src), id: id}] = f
+	row := c.fates[src]
+	if id >= uint64(len(row)) {
+		// Rows only grow, so the spare capacity past len is still zero
+		// (FateNone) and can be resliced into use as is.
+		row = slices.Grow(row, int(id)+1-len(row))[:id+1]
+		c.fates[src] = row
+	}
+	row[id] = f
 }
 
 // NoteInitiated records the origination of data packet (src, id) and

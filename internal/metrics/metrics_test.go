@@ -103,3 +103,51 @@ func TestKindStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestFateLedgerFirstTerminalWins pins the conservation ledger's rules:
+// the first terminal event of a packet counts, later ones land in the
+// DuplicateDeliveries/LateDrops diagnostics, packets never initiated
+// through the ledger still count, and unknown packets — on sources or
+// IDs past the ledger's rows — read metrics.FateNone.
+func TestFateLedgerFirstTerminalWins(t *testing.T) {
+	c := metrics.NewCollector()
+	if c.FateOf(3, 1) != metrics.FateNone || c.FateOf(-1, 1) != metrics.FateNone {
+		t.Fatal("empty ledger reports a fate")
+	}
+	c.NoteInitiated(3, 1)
+	c.NoteInitiated(3, 2)
+	c.NoteInitiated(0, 7)
+	if c.FateOf(3, 1) != metrics.FateInFlight || c.FateOf(3, 3) != metrics.FateNone || c.FateOf(1, 1) != metrics.FateNone {
+		t.Fatalf("fates after initiation: %v %v %v", c.FateOf(3, 1), c.FateOf(3, 3), c.FateOf(1, 1))
+	}
+	if c.InFlight() != 3 {
+		t.Fatalf("InFlight = %d, want 3", c.InFlight())
+	}
+
+	if !c.NoteDelivered(3, 1) || c.NoteDelivered(3, 1) {
+		t.Fatal("first delivery must count and the duplicate must not")
+	}
+	if c.NoteDropped(3, 1, metrics.DropTTL) {
+		t.Fatal("drop after delivery counted")
+	}
+	if !c.NoteDropped(3, 2, metrics.DropNoRoute) || c.NoteDelivered(3, 2) || c.NoteDropped(3, 2, metrics.DropTTL) {
+		t.Fatal("first drop must count and every later terminal event must not")
+	}
+	if !c.NoteDelivered(9, 1000) {
+		t.Fatal("a delivery of a packet never initiated must count")
+	}
+
+	if c.FateOf(3, 1) != metrics.FateDelivered || c.FateOf(3, 2) != metrics.FateDropped || c.FateOf(0, 7) != metrics.FateInFlight {
+		t.Fatalf("fates: %v %v %v", c.FateOf(3, 1), c.FateOf(3, 2), c.FateOf(0, 7))
+	}
+	if c.DataDelivered != 2 || c.DataDropped != 1 || c.DuplicateDeliveries != 2 || c.LateDrops != 2 {
+		t.Fatalf("delivered=%d dropped=%d dup=%d late=%d, want 2 1 2 2",
+			c.DataDelivered, c.DataDropped, c.DuplicateDeliveries, c.LateDrops)
+	}
+	if c.DroppedBy(metrics.DropNoRoute) != 1 || c.DroppedBy(metrics.DropTTL) != 0 {
+		t.Fatal("a suppressed late drop reached the drop-reason counters")
+	}
+	if c.InFlight() != 1 {
+		t.Fatalf("InFlight = %d, want 1", c.InFlight())
+	}
+}
