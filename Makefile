@@ -149,7 +149,7 @@ bench-sweep:
 # loop, MAC queue, and LDR round trip, plus a single tiny sweep cell.
 # Part of `make check` so steady-state allocation creep fails CI quickly.
 bench-smoke:
-	$(GO) test -run 'Alloc|ZeroAlloc' ./internal/sim/ ./internal/mac/ ./internal/core/ ./internal/routing/
+	$(GO) test -run 'Alloc|ZeroAlloc' ./internal/sim/ ./internal/radio/ ./internal/mac/ ./internal/core/ ./internal/routing/
 	$(GO) test -run '^$$' -bench 'ScheduleTransient|SweepSerial' -benchtime 10x \
 		./internal/sim/ ./internal/sweep/
 
