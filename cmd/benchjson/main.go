@@ -19,9 +19,12 @@ import (
 	"strings"
 )
 
-// Result is one benchmark line.
+// Result is one benchmark line. Pkg is the package from the most recent
+// `pkg:` header before the line, so one report can span the several
+// packages a `go test -bench` run covers.
 type Result struct {
 	Name       string             `json:"name"`
+	Pkg        string             `json:"pkg,omitempty"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
 }
@@ -30,7 +33,6 @@ type Result struct {
 type Report struct {
 	Goos    string   `json:"goos,omitempty"`
 	Goarch  string   `json:"goarch,omitempty"`
-	Pkg     string   `json:"pkg,omitempty"`
 	CPU     string   `json:"cpu,omitempty"`
 	Results []Result `json:"results"`
 }
@@ -122,16 +124,20 @@ func loadReport(path string) (*Report, error) {
 // compare flags every benchmark present in both reports whose B/op or
 // allocs/op grew by more than maxPct percent over the baseline. Benchmark
 // names include the GOMAXPROCS suffix, so baselines only gate runs on
-// comparable machines.
+// comparable machines. Results match on package and name; a baseline
+// result without a package (written before reports recorded one)
+// matches on name alone.
 func compare(base, cur *Report, maxPct float64) []string {
-	baseline := make(map[string]map[string]float64, len(base.Results))
-	for _, r := range base.Results {
-		baseline[r.Name] = r.Metrics
-	}
 	var regressions []string
 	for _, r := range cur.Results {
-		old, ok := baseline[r.Name]
-		if !ok {
+		var old map[string]float64
+		for _, b := range base.Results {
+			if b.Name == r.Name && (b.Pkg == "" || b.Pkg == r.Pkg) {
+				old = b.Metrics
+				break
+			}
+		}
+		if old == nil {
 			continue
 		}
 		for _, unit := range []string{"B/op", "allocs/op"} {
@@ -151,6 +157,7 @@ func compare(base, cur *Report, maxPct float64) []string {
 
 func parse(sc *bufio.Scanner) (*Report, error) {
 	rep := &Report{}
+	pkg := ""
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
@@ -159,12 +166,13 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 		case strings.HasPrefix(line, "goarch:"):
 			rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 		case strings.HasPrefix(line, "pkg:"):
-			rep.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "cpu:"):
 			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
 			r, ok := parseBench(line)
 			if ok {
+				r.Pkg = pkg
 				rep.Results = append(rep.Results, r)
 			}
 		}

@@ -52,3 +52,59 @@ func TestParseBenchRejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+// TestParseRecordsPkgPerResult: a run over several packages prints one
+// `pkg:` header per package, and every result carries the package whose
+// header precedes it rather than the last one printed.
+func TestParseRecordsPkgPerResult(t *testing.T) {
+	in := `goos: linux
+goarch: amd64
+pkg: github.com/manetlab/ldr/internal/sweep
+cpu: Imaginary CPU @ 2.00GHz
+BenchmarkSweepSerial-4          2	 612345678 ns/op	 4096 B/op	   31 allocs/op
+PASS
+ok  	github.com/manetlab/ldr/internal/sweep	3.211s
+goos: linux
+goarch: amd64
+pkg: github.com/manetlab/ldr/internal/radio
+cpu: Imaginary CPU @ 2.00GHz
+BenchmarkTransmit-4          1000	 52345 ns/op	 0 B/op	   0 allocs/op
+PASS
+ok  	github.com/manetlab/ldr/internal/radio	1.002s
+`
+	rep, err := parse(bufio.NewScanner(strings.NewReader(in)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct{ name, pkg string }{
+		{"BenchmarkSweepSerial-4", "github.com/manetlab/ldr/internal/sweep"},
+		{"BenchmarkTransmit-4", "github.com/manetlab/ldr/internal/radio"},
+	}
+	if len(rep.Results) != len(want) {
+		t.Fatalf("got %d results, want %d", len(rep.Results), len(want))
+	}
+	for i, w := range want {
+		if r := rep.Results[i]; r.Name != w.name || r.Pkg != w.pkg {
+			t.Errorf("result %d = %s in %q, want %s in %q", i, r.Name, r.Pkg, w.name, w.pkg)
+		}
+	}
+}
+
+// TestCompareMatchesPackage: the gate compares a result with the
+// baseline entry of the same package and name, and falls back to the
+// name alone for baseline entries that carry no package.
+func TestCompareMatchesPackage(t *testing.T) {
+	res := func(pkg string, allocs float64) Result {
+		return Result{Name: "BenchmarkX", Pkg: pkg, Metrics: map[string]float64{"allocs/op": allocs}}
+	}
+	cur := &Report{Results: []Result{res("a", 200)}}
+	if got := compare(&Report{Results: []Result{res("b", 100)}}, cur, 10); len(got) != 0 {
+		t.Errorf("compared across packages: %v", got)
+	}
+	if got := compare(&Report{Results: []Result{res("b", 100), res("a", 100)}}, cur, 10); len(got) != 1 {
+		t.Errorf("same package and name: %d regressions, want 1", len(got))
+	}
+	if got := compare(&Report{Results: []Result{res("", 100)}}, cur, 10); len(got) != 1 {
+		t.Errorf("package-less baseline: %d regressions, want 1", len(got))
+	}
+}
