@@ -97,7 +97,6 @@ modelcheck-seed:
 # cell's round-tripped collector JSON. A change that moves a digest must
 # say why; an engine refactor must leave the table untouched.
 golden:
-	mkdir -p internal/scenario/testdata
 	$(GO) test ./internal/scenario/ -run '^TestGoldenDigests$$' -update-golden -count=1
 
 # Exploration throughput (states/sec, trans/sec) and exact state counts,

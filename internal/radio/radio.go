@@ -193,12 +193,13 @@ type reception struct {
 // transmission is one frame on the air. Every reception of a frame
 // starts and ends at the same two instants, so the medium schedules one
 // start and one end event per transmission, and each walks the
-// receptions in candidate order — the order in which per-reception
-// events used to fire, since they held consecutive sequence numbers and
-// no callback runs inside Transmit to slip another event between them.
-// Receptions live in the slice by value; it is appended to only inside
-// Transmit, so the addresses that nodes' active lists hold stay valid
-// until the end event recycles the transmission.
+// receptions in candidate order. That is exactly the order separate
+// per-reception events would fire in: they would hold consecutive
+// sequence numbers at one instant, and no callback runs inside Transmit
+// to schedule anything between them. Receptions live in the slice by
+// value; it is appended to only inside Transmit, so the addresses that
+// nodes' active lists hold stay valid until the end event recycles the
+// transmission.
 type transmission struct {
 	rcs []reception
 }
@@ -399,17 +400,17 @@ func (m *Medium) txStart(arg any, _ uint64) {
 }
 
 // txEnd is the pre-bound end event of a transmission. Receiver
-// callbacks run inside the walk, exactly where their per-reception end
-// events used to fire; anything they schedule at this instant fires
-// after the walk, as it did after the frame's remaining end events.
+// callbacks run inside the walk; anything they schedule at this instant
+// fires after the whole walk, just as it would fire after the frame's
+// remaining per-reception end events.
 func (m *Medium) txEnd(arg any, _ uint64) {
 	tx := arg.(*transmission)
 	for k := range tx.rcs {
 		rc := &tx.rcs[k]
 		m.signalEnd(rc)
 		// The reception is over and off every active list: drop its
-		// payload reference before the next receiver's end, as its own
-		// end event used to.
+		// payload reference now, before the next receiver's end, so a
+		// payload's release point does not depend on the batching.
 		unref(rc.payload)
 		*rc = reception{}
 	}

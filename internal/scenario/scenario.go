@@ -255,7 +255,7 @@ func Nodes100(proto ProtocolName, flows int, pause time.Duration, seed int64) Co
 type Result struct {
 	Config    Config
 	Collector *metrics.Collector
-	Events    uint64 // simulator events executed (cost measure)
+	Events    uint64 // simulator events executed (cost measure; a radio frame is two)
 
 	// Faults counts what the injector actually did (zero value when the
 	// config had no plan).

@@ -305,25 +305,17 @@ func (q *eventQueue) push(ev *Event) {
 // pop removes and returns the earliest event. The queue must be
 // non-empty.
 func (q *eventQueue) pop() *Event {
-	h := *q
-	top := h[0]
-	q.cut(0)
-	top.index = -1
+	top := (*q)[0]
+	q.remove(0)
 	return top
 }
 
-// remove deletes the event at heap position i (Timer.Cancel).
+// remove deletes the event at heap position i: the last event fills the
+// hole and moves whichever way the heap order needs.
 func (q *eventQueue) remove(i int) {
-	ev := (*q)[i]
-	q.cut(i)
-	ev.index = -1
-}
-
-// cut fills hole i with the last event, shrinks the queue by one, and
-// restores the heap order around the moved event.
-func (q *eventQueue) cut(i int) {
 	h := *q
 	n := len(h) - 1
+	h[i].index = -1
 	last := h[n]
 	h[n] = nil
 	h = h[:n]
