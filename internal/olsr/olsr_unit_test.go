@@ -146,3 +146,32 @@ func TestDuplicateTCNotReprocessed(t *testing.T) {
 	})
 	nw.Sim.Run(time.Second)
 }
+
+// TestTCFreshnessUsesOriginsOwnANSN: RFC 3626 §9.5 discards a TC only
+// if the origin's own tuples (T_last_addr == origin) carry a newer ANSN.
+// Tuples other origins hold *toward* this origin carry their own
+// counters and must not make its fresh TC look stale.
+func TestTCFreshnessUsesOriginsOwnANSN(t *testing.T) {
+	nw, p := isolated(8)
+	nw.Start()
+	nw.Sim.Schedule(0, func() {
+		p.HandleControl(1, hello(1, 0))
+		p.HandleControl(1, hello(1, 0, 8))
+		// Origin 8, far ahead in its own counter, advertises 7.
+		p.HandleControl(1, olsr.TC{Origin: 8, Seq: 1, ANSN: 5, Selectors: []routing.NodeID{7}, TTL: 10})
+		// 7's first TC has a smaller ANSN than 8's; it is still fresh.
+		p.HandleControl(1, olsr.TC{Origin: 7, Seq: 1, ANSN: 2, Selectors: []routing.NodeID{9}, TTL: 10})
+		if next, hops, ok := p.RouteTo(9); !ok || next != 1 || hops != 4 {
+			t.Errorf("route to 9 = (%d,%d,%v), want via 1 in 4 hops", next, hops, ok)
+		}
+		// An older TC from 7 itself is stale and changes nothing.
+		p.HandleControl(1, olsr.TC{Origin: 7, Seq: 2, ANSN: 1, Selectors: []routing.NodeID{11}, TTL: 10})
+		if _, _, ok := p.RouteTo(11); ok {
+			t.Error("stale TC from 7 was installed")
+		}
+		if _, _, ok := p.RouteTo(9); !ok {
+			t.Error("stale TC from 7 replaced its fresh set")
+		}
+	})
+	nw.Sim.Run(time.Second)
+}

@@ -1,6 +1,8 @@
 package scenario_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -107,5 +109,46 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	}
 	if a.Events == b.Events && a.Collector.DataDelivered == b.Collector.DataDelivered {
 		t.Fatal("different seeds produced identical runs; RNG plumbing is broken")
+	}
+}
+
+// TestAuditorDoesNotPerturbRuns: the continuous auditor only reads
+// routing tables, so an audited run must deliver, drop and send control
+// exactly like the same run unaudited. A protocol that recomputes its
+// table for the auditor and then reuses that table for forwarding (as
+// OLSR once did) fails here.
+func TestAuditorDoesNotPerturbRuns(t *testing.T) {
+	for _, proto := range scenario.AllProtocols {
+		for _, seed := range []int64{7919, 31, 4242} {
+			cfg := scenario.Nodes50(proto, 10, 0, seed)
+			cfg.SimTime = 30 * time.Second
+			plain, err := scenario.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.AuditCadence = 100 * time.Millisecond
+			audited, err := scenario.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := plain.Collector, audited.Collector
+			if b.AuditSnapshots == 0 {
+				t.Fatalf("%s seed %d: auditor took no snapshots", proto, seed)
+			}
+			b.AuditSnapshots, b.LoopViolations, b.OrderingViolations = 0, 0, 0
+			ja, err := json.Marshal(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jb, err := json.Marshal(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(ja, jb) {
+				t.Errorf("%s seed %d: audited run differs: delivered %d vs %d, dropped %d vs %d, transmitted %d vs %d",
+					proto, seed, a.DataDelivered, b.DataDelivered, a.DataDropped, b.DataDropped,
+					a.DataTransmitted, b.DataTransmitted)
+			}
+		}
 	}
 }
