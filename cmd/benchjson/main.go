@@ -48,8 +48,9 @@ func main() {
 		fmt.Fprintf(w, "metrics (ns/op, B/op, allocs/op) and custom b.ReportMetric units are\n")
 		fmt.Fprintf(w, "all captured; non-benchmark lines are ignored.\n\n")
 		fmt.Fprintf(w, "With -maxregress, the existing -o file is the committed baseline: if\n")
-		fmt.Fprintf(w, "any benchmark's B/op or allocs/op grew by more than PCT%%, the baseline\n")
-		fmt.Fprintf(w, "is left untouched and benchjson exits non-zero.\n\nFlags:\n")
+		fmt.Fprintf(w, "any benchmark's B/op or allocs/op grew by more than PCT%%, or no result\n")
+		fmt.Fprintf(w, "could be compared, the baseline is left untouched and benchjson exits\n")
+		fmt.Fprintf(w, "non-zero. Names match without their -N GOMAXPROCS suffix.\n\nFlags:\n")
 		flag.PrintDefaults()
 		fmt.Fprintf(w, "\nExamples:\n")
 		fmt.Fprintf(w, "  go test -bench Sweep -benchmem ./internal/sweep/ | benchjson -o BENCH_sweep.json\n")
@@ -78,7 +79,13 @@ func main() {
 
 	if *maxRegress > 0 {
 		if base, err := loadReport(*out); err == nil {
-			if regressions := compare(base, rep, *maxRegress); len(regressions) > 0 {
+			regressions, compared := compare(base, rep, *maxRegress)
+			fmt.Fprintf(os.Stderr, "benchjson: compared %d (result, unit) pairs against %s\n", compared, *out)
+			if compared == 0 {
+				fmt.Fprintf(os.Stderr, "benchjson: no result shares a name and a B/op or allocs/op metric with the baseline; %s left untouched\n", *out)
+				os.Exit(1)
+			}
+			if len(regressions) > 0 {
 				for _, r := range regressions {
 					fmt.Fprintln(os.Stderr, "benchjson: regression:", r)
 				}
@@ -122,17 +129,18 @@ func loadReport(path string) (*Report, error) {
 }
 
 // compare flags every benchmark present in both reports whose B/op or
-// allocs/op grew by more than maxPct percent over the baseline. Benchmark
-// names include the GOMAXPROCS suffix, so baselines only gate runs on
-// comparable machines. Results match on package and name; a baseline
+// allocs/op grew by more than maxPct percent over the baseline, and
+// counts the (result, unit) pairs it compared. Names match without their
+// GOMAXPROCS suffix, so a baseline recorded on a host with another CPU
+// count still gates. Results match on package and name; a baseline
 // result without a package (written before reports recorded one)
 // matches on name alone.
-func compare(base, cur *Report, maxPct float64) []string {
-	var regressions []string
+func compare(base, cur *Report, maxPct float64) (regressions []string, compared int) {
 	for _, r := range cur.Results {
+		name := trimProcs(r.Name)
 		var old map[string]float64
 		for _, b := range base.Results {
-			if b.Name == r.Name && (b.Pkg == "" || b.Pkg == r.Pkg) {
+			if trimProcs(b.Name) == name && (b.Pkg == "" || b.Pkg == r.Pkg) {
 				old = b.Metrics
 				break
 			}
@@ -146,13 +154,29 @@ func compare(base, cur *Report, maxPct float64) []string {
 			if !okOld || !okNew || was <= 0 {
 				continue
 			}
+			compared++
 			if growth := (now - was) / was * 100; growth > maxPct {
 				regressions = append(regressions, fmt.Sprintf(
 					"%s %s %.0f -> %.0f (+%.1f%%)", r.Name, unit, was, now, growth))
 			}
 		}
 	}
-	return regressions
+	return regressions, compared
+}
+
+// trimProcs drops the -N GOMAXPROCS suffix `go test` appends to a
+// benchmark name when N > 1.
+func trimProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
 }
 
 func parse(sc *bufio.Scanner) (*Report, error) {

@@ -98,13 +98,42 @@ func TestCompareMatchesPackage(t *testing.T) {
 		return Result{Name: "BenchmarkX", Pkg: pkg, Metrics: map[string]float64{"allocs/op": allocs}}
 	}
 	cur := &Report{Results: []Result{res("a", 200)}}
-	if got := compare(&Report{Results: []Result{res("b", 100)}}, cur, 10); len(got) != 0 {
-		t.Errorf("compared across packages: %v", got)
+	if got, n := compare(&Report{Results: []Result{res("b", 100)}}, cur, 10); len(got) != 0 || n != 0 {
+		t.Errorf("compared across packages: %v (%d pairs)", got, n)
 	}
-	if got := compare(&Report{Results: []Result{res("b", 100), res("a", 100)}}, cur, 10); len(got) != 1 {
+	if got, _ := compare(&Report{Results: []Result{res("b", 100), res("a", 100)}}, cur, 10); len(got) != 1 {
 		t.Errorf("same package and name: %d regressions, want 1", len(got))
 	}
-	if got := compare(&Report{Results: []Result{res("", 100)}}, cur, 10); len(got) != 1 {
+	if got, _ := compare(&Report{Results: []Result{res("", 100)}}, cur, 10); len(got) != 1 {
 		t.Errorf("package-less baseline: %d regressions, want 1", len(got))
+	}
+}
+
+// TestCompareIgnoresProcsSuffix: a baseline recorded with GOMAXPROCS=1
+// (no suffix) gates a run on a 2-CPU host (-2 suffix), and the number
+// of compared pairs says whether the gate saw anything at all.
+func TestCompareIgnoresProcsSuffix(t *testing.T) {
+	res := func(name string, bytes, allocs float64) Result {
+		return Result{Name: name, Metrics: map[string]float64{"B/op": bytes, "allocs/op": allocs, "ns/op": 1}}
+	}
+	base := &Report{Results: []Result{res("BenchmarkCheckLDRLine3", 1000, 10), res("BenchmarkX/case-a", 100, 1)}}
+	cur := &Report{Results: []Result{res("BenchmarkCheckLDRLine3-2", 2000, 10), res("BenchmarkX/case-a-2", 100, 1)}}
+	got, n := compare(base, cur, 10)
+	if n != 4 {
+		t.Errorf("compared %d pairs, want 4", n)
+	}
+	if len(got) != 1 {
+		t.Errorf("regressions = %v, want the B/op growth of BenchmarkCheckLDRLine3-2", got)
+	}
+	if _, n := compare(base, &Report{Results: []Result{res("BenchmarkOther-2", 1, 1)}}, 10); n != 0 {
+		t.Errorf("unrelated result compared %d pairs, want 0", n)
+	}
+	for in, want := range map[string]string{
+		"BenchmarkX-2": "BenchmarkX", "BenchmarkX-16": "BenchmarkX", "BenchmarkX": "BenchmarkX",
+		"BenchmarkX/case-a": "BenchmarkX/case-a", "BenchmarkX-": "BenchmarkX-",
+	} {
+		if got := trimProcs(in); got != want {
+			t.Errorf("trimProcs(%q) = %q, want %q", in, got, want)
+		}
 	}
 }
